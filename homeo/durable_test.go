@@ -2,12 +2,16 @@ package homeo_test
 
 import (
 	"context"
+	"fmt"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/homeo"
 	"repro/homeo/wire"
 	"repro/internal/lang"
+	"repro/internal/wal"
 )
 
 // TestWALRecoverRoundTrip: run a simulated cluster with a write-ahead
@@ -210,5 +214,72 @@ func TestWALRecoverMembership(t *testing.T) {
 	}
 	if err := c2.CheckMergedReplay([][]wire.LogEntry{c2.WireLog()}, parts); err != nil {
 		t.Fatalf("replay equivalence after membership recovery: %v", err)
+	}
+}
+
+// TestWALRecoverRefusesJSONPayload: a WAL record whose payload is JSON,
+// the encoding older builds wrote, makes Recover fail with an error
+// naming the site and the record index — it is neither skipped nor
+// replayed as a zero value.
+func TestWALRecoverRefusesJSONPayload(t *testing.T) {
+	dir := t.TempDir()
+	opts := homeo.Options{
+		Runtime:   homeo.RuntimeSim,
+		Sites:     2,
+		Seed:      5,
+		EnableLog: true,
+		WAL:       homeo.WALOptions{Dir: dir},
+	}
+	spec := homeo.ClassSpec{
+		L:       withdrawSrc,
+		Bounds:  map[string][2]int64{"n": {1, 3}},
+		Initial: map[string]int64{"bal": 60},
+	}
+	c1, err := homeo.New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cls, err := c1.Register(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c1.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	sess := c1.Session()
+	for i := 0; i < 10; i++ {
+		if _, err := sess.Submit(context.Background(), cls, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c1.Close()
+
+	// Append a JSON-payload commit after the binary records site 0 wrote.
+	l, recs, err := wal.Open(filepath.Join(dir, "site-0.wal"), wal.Options{GroupWindow: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) == 0 {
+		t.Fatal("site 0 logged nothing; the JSON record must follow valid ones")
+	}
+	if err := l.Append(wal.KindCommit, []byte(`{"class":"Withdraw","args":[1],"site":0,"clock":999}`)); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	c2, err := homeo.New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c2.Close()
+	if _, err := c2.Register(spec); err != nil {
+		t.Fatal(err)
+	}
+	_, err = c2.Recover()
+	want := fmt.Sprintf("site 0 WAL record %d", len(recs))
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("Recover over a JSON-payload record = %v, want an error naming %q", err, want)
 	}
 }

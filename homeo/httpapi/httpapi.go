@@ -9,8 +9,7 @@
 // POST /v1/classes (the server parses, analyzes, and generates treaties
 // online), invoked over POST /v1/txn (single or batch, with 429
 // backpressure on queue overflow), and observed over GET /v1/stats
-// (snapshot or Server-Sent Events stream). The pre-v1 endpoints /txn and
-// /stats answer 410 Gone with a pointer to their replacements.
+// (snapshot or Server-Sent Events stream).
 package httpapi
 
 import (
@@ -54,8 +53,6 @@ func NewHandler(c *homeo.Cluster) *Handler {
 	h.mux.HandleFunc("/v1/topology/drain", h.handleTopologyDrain)
 	h.mux.HandleFunc("/v1/topology/migrate", h.handleTopologyMigrate)
 	h.mux.HandleFunc("/healthz", h.handleHealthz)
-	h.mux.HandleFunc("/txn", gone("/v1/txn"))
-	h.mux.HandleFunc("/stats", gone("/v1/stats"))
 	if peer := c.PeerHandler(); peer != nil {
 		// The peer handler owns the full /v1/peer/* paths; the exact
 		// /v1/peer/log and /v1/peer/db patterns below still win.
@@ -93,11 +90,9 @@ func (h *Handler) Drain() { h.draining.Store(true) }
 func writeJSON(rw http.ResponseWriter, status int, v any) {
 	rw.Header().Set("Content-Type", "application/json")
 	rw.WriteHeader(status)
-	enc := json.NewEncoder(rw)
-	enc.SetIndent("", "  ")
 	// The status line is already written; a mid-body failure cannot be
 	// reported to the client anyway.
-	_ = enc.Encode(v)
+	_ = json.NewEncoder(rw).Encode(v)
 }
 
 // retryAfterSeconds is the backpressure hint attached to 429/503
@@ -165,14 +160,6 @@ func wireStats(s homeo.Stats) wire.Stats {
 		})
 	}
 	return out
-}
-
-// gone answers 410 for a pre-v1 endpoint, naming its replacement.
-func gone(replacement string) http.HandlerFunc {
-	return func(rw http.ResponseWriter, req *http.Request) {
-		writeError(rw, http.StatusGone, "gone",
-			"this endpoint was replaced by %s (see the /v1 protocol docs)", replacement)
-	}
 }
 
 // decodeBody decodes a JSON body, tolerating an empty one.

@@ -1,6 +1,8 @@
 // Package codec is the length-prefixed binary encoding shared by the
-// site-fabric peer protocol (/v1/peer/* bodies, negotiated via content
-// type with a JSON fallback) and the write-ahead log's record payloads.
+// site-fabric peer protocol (every /v1/peer/* request and reply body,
+// sent as ContentType) and the write-ahead log's record payloads. It is
+// the only encoding of either: a payload in any other format fails to
+// decode.
 //
 // Every encoded value starts with a three-byte header — magic, format
 // version, message kind — followed by the kind's fields in a fixed
@@ -8,16 +10,11 @@
 // blobs are length-prefixed, and maps are written as sorted key/value
 // runs so encoding is deterministic: the same value always produces the
 // same bytes, which the WAL's CRC framing and the golden tests rely on.
-//
-// The magic byte (0xB5) never collides with '{' or a space, so a
-// decoder can sniff binary versus legacy JSON from the first payload
-// byte; that is how mixed-version clusters and old WAL files keep
-// working.
+// A wrong magic byte or format version is an ordinary decode error.
 package codec
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -28,16 +25,10 @@ const (
 	Magic = 0xB5
 	// Version is the encoding format version.
 	Version = 1
-	// ContentType negotiates the binary encoding on the peer surface.
+	// ContentType is the Content-Type of every peer request and reply
+	// body; the peer surface refuses any other with 415.
 	ContentType = "application/x-homeo-peer"
 )
-
-// ErrNotBinary reports a payload that does not start with the codec
-// magic (a legacy JSON body, typically).
-var ErrNotBinary = errors.New("codec: payload is not binary-encoded")
-
-// IsBinary reports whether a payload starts with the codec magic.
-func IsBinary(b []byte) bool { return len(b) > 0 && b[0] == Magic }
 
 // AppendHeader appends the three-byte header for a message kind.
 func AppendHeader(dst []byte, kind byte) []byte {
@@ -170,7 +161,7 @@ func (r *Reader) Header() byte {
 		return 0
 	}
 	if r.b[r.off] != Magic {
-		r.err = ErrNotBinary
+		r.fail("bad magic byte 0x%02x", r.b[r.off])
 		return 0
 	}
 	if r.b[r.off+1] != Version {

@@ -2,8 +2,8 @@ package codec_test
 
 import (
 	"bytes"
-	"errors"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/homeo/wire"
@@ -48,7 +48,7 @@ func TestMessageRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%T: encode: %v", m, err)
 		}
-		if !codec.IsBinary(enc) {
+		if enc[0] != codec.Magic {
 			t.Fatalf("%T: encoding does not start with the codec magic", m)
 		}
 		out := fresh(m)
@@ -86,13 +86,17 @@ func TestDecodeWrongKind(t *testing.T) {
 	}
 }
 
-// TestDecodeNotBinary: JSON bodies are identified as such, so the
-// transport can fall back instead of misparsing.
+// TestDecodeNotBinary: a body in any other encoding (JSON, say) is an
+// ordinary decode error naming the bad magic byte, never a partial
+// decode.
 func TestDecodeNotBinary(t *testing.T) {
 	var c wire.PeerCollect
 	err := codec.DecodeMessage([]byte(`{"from":1}`), &c)
-	if !errors.Is(err, codec.ErrNotBinary) {
-		t.Fatalf("JSON body: got %v, want ErrNotBinary", err)
+	if err == nil || !strings.Contains(err.Error(), "magic") {
+		t.Fatalf("JSON body: got %v, want a bad-magic decode error", err)
+	}
+	if !reflect.DeepEqual(c, wire.PeerCollect{}) {
+		t.Fatalf("JSON body partially decoded into %+v", c)
 	}
 }
 
@@ -114,10 +118,11 @@ func TestDecodeCorruption(t *testing.T) {
 		for i := 0; i < len(enc); i++ {
 			mut := append([]byte(nil), enc...)
 			mut[i] ^= 0xFF
-			// Must not panic; an error or a different value are both fine.
+			// Must not panic; an error or a different value are both fine,
+			// except that a flipped magic byte must always be refused.
 			err := codec.DecodeMessage(mut, fresh(m))
-			if i == 0 && !errors.Is(err, codec.ErrNotBinary) {
-				t.Errorf("%T: flipped magic: got %v, want ErrNotBinary", m, err)
+			if i == 0 && err == nil {
+				t.Errorf("%T: flipped magic byte decoded cleanly", m)
 			}
 		}
 	}

@@ -1,12 +1,16 @@
 package fabric_test
 
 import (
+	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
 
+	"repro/homeo/wire"
 	"repro/internal/cluster"
 	"repro/internal/fabric"
 	"repro/internal/fabric/codec"
@@ -40,13 +44,11 @@ func TestLocalConformance(t *testing.T) {
 	})
 }
 
-// runHTTPConformance runs the conformance suite against the
+// TestHTTPConformance runs the conformance suite against the
 // multi-process transport: site 0 is local, every other site is a real
-// HTTP server mounting the peer handler — so the whole round trip is
-// exercised. cfg tweaks the transport (e.g. DisableBinary) and wrap
-// interposes middleware on each peer server (e.g. an old build refusing
-// the binary content type).
-func runHTTPConformance(t *testing.T, cfg func(*fabric.HTTP), wrap func(http.Handler) http.Handler) {
+// HTTP server mounting the peer handler — so the whole round trip,
+// binary codec included, is exercised.
+func TestHTTPConformance(t *testing.T) {
 	fabrictest.Run(t, func(t *testing.T, n int) *fabrictest.Harness {
 		live := rtlive.New(1)
 		nodes := make([]*fabrictest.StubNode, n)
@@ -55,21 +57,13 @@ func runHTTPConformance(t *testing.T, cfg func(*fabric.HTTP), wrap func(http.Han
 			nodes[k] = &fabrictest.StubNode{Site: k}
 		}
 		for k := 1; k < n; k++ {
-			var h http.Handler = fabric.NewPeerHandler(nodes[k], nil, "")
-			if wrap != nil {
-				h = wrap(h)
-			}
-			srv := httptest.NewServer(h)
+			srv := httptest.NewServer(fabric.NewPeerHandler(nodes[k], nil, ""))
 			t.Cleanup(srv.Close)
 			peers[k] = srv.URL
 		}
 		peers[0] = "http://invalid.localhost:0" // self: never dialed
-		tr := fabric.NewHTTP(live, 0, peers, nodes[0], nil)
-		if cfg != nil {
-			cfg(tr)
-		}
 		return &fabrictest.Harness{
-			Transport: tr,
+			Transport: fabric.NewHTTP(live, 0, peers, nodes[0], nil),
 			Nodes:     nodes,
 			Exec: func(fn func(p rt.Proc)) {
 				done := make(chan struct{})
@@ -83,34 +77,76 @@ func runHTTPConformance(t *testing.T, cfg func(*fabric.HTTP), wrap func(http.Han
 	})
 }
 
-// TestHTTPConformance: default negotiation, so every peer body rides the
-// binary codec.
-func TestHTTPConformance(t *testing.T) { runHTTPConformance(t, nil, nil) }
-
-// TestHTTPConformanceJSON forces the JSON encoding end to end — the
-// legacy wire format must keep passing the same suite.
-func TestHTTPConformanceJSON(t *testing.T) {
-	runHTTPConformance(t, func(tr *fabric.HTTP) { tr.DisableBinary() }, nil)
+// TestPeerRefusesJSON: with a valid token, a JSON body on a peer
+// mutation is refused with 415 before it reaches the node.
+func TestPeerRefusesJSON(t *testing.T) {
+	node := &fabrictest.StubNode{Site: 1}
+	srv := httptest.NewServer(fabric.NewPeerHandler(node, nil, "s3cret"))
+	defer srv.Close()
+	req, err := http.NewRequest(http.MethodPost, srv.URL+"/v1/peer/install-state",
+		strings.NewReader(`{"from":0,"round":1,"objs":["x"],"folded":{"x":999}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Content-Type", "application/json")
+	req.Header.Set(fabric.PeerTokenHeader, "s3cret")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var envelope wire.ErrorResponse
+	if err := json.NewDecoder(resp.Body).Decode(&envelope); err != nil {
+		t.Fatalf("415 body is not a JSON error envelope: %v", err)
+	}
+	if resp.StatusCode != http.StatusUnsupportedMediaType || envelope.Error.Code != "unsupported_media_type" {
+		t.Fatalf("JSON install-state = %d/%q, want 415/unsupported_media_type",
+			resp.StatusCode, envelope.Error.Code)
+	}
+	if _, is, _, _ := node.Snapshot(); len(is) != 0 {
+		t.Fatalf("peer node handled %d installs, want 0", len(is))
+	}
 }
 
-// TestHTTPConformanceFallback simulates a mixed-version cluster: every
-// peer refuses the binary content type with 415, the way a build that
-// predates the codec fails. The transport must notice, remember each
-// peer as JSON-only, and pass the whole suite over the fallback.
-func TestHTTPConformanceFallback(t *testing.T) {
-	var refused atomic.Int64
-	runHTTPConformance(t, nil, func(next http.Handler) http.Handler {
-		return http.HandlerFunc(func(rw http.ResponseWriter, req *http.Request) {
-			if req.Header.Get("Content-Type") == codec.ContentType {
-				refused.Add(1)
-				http.Error(rw, "unsupported media type", http.StatusUnsupportedMediaType)
-				return
+// TestHTTPNoRetryOnRefusal: a peer that refuses the request — 415 or
+// 400 — fails the call after exactly one request. The transport reports
+// the refusal instead of resending the mutation in another encoding.
+func TestHTTPNoRetryOnRefusal(t *testing.T) {
+	for _, status := range []int{http.StatusUnsupportedMediaType, http.StatusBadRequest} {
+		t.Run(http.StatusText(status), func(t *testing.T) {
+			live := rtlive.New(1)
+			node := &fabrictest.StubNode{Site: 1}
+			peer := fabric.NewPeerHandler(node, nil, "")
+			var seen atomic.Int64
+			srv := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, req *http.Request) {
+				seen.Add(1)
+				if req.Header.Get("Content-Type") == codec.ContentType {
+					http.Error(rw, "refused", status)
+					return
+				}
+				peer.ServeHTTP(rw, req)
+			}))
+			defer srv.Close()
+			tr := fabric.NewHTTP(live, 0, []string{"http://unused.invalid", srv.URL},
+				&fabrictest.StubNode{Site: 0}, nil)
+			var err error
+			exec(t, live, func(p rt.Proc) {
+				err = tr.Install(p, 0, fabric.InstallState{Round: fabric.RoundID{Site: 0, Seq: 1}})
+			})
+			var se *fabric.SiteError
+			if !errors.As(err, &se) || se.Site != 1 || !strings.Contains(err.Error(), strconv.Itoa(status)) {
+				t.Fatalf("Install against a refusing peer = %v, want a site 1 error naming HTTP %d", err, status)
 			}
-			next.ServeHTTP(rw, req)
+			if got := tr.Messages.Load(); got != 1 {
+				t.Fatalf("transport sent %d requests, want exactly 1", got)
+			}
+			if got := seen.Load(); got != 1 {
+				t.Fatalf("peer saw %d requests, want exactly 1", got)
+			}
+			if _, is, _, _ := node.Snapshot(); len(is) != 0 {
+				t.Fatalf("peer node handled %d installs, want 0", len(is))
+			}
 		})
-	})
-	if refused.Load() == 0 {
-		t.Fatal("no binary request was refused: the fallback path never ran")
 	}
 }
 

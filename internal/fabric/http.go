@@ -28,12 +28,10 @@ import (
 // which homeo/httpapi mounts). Communication latency is whatever the
 // network charges.
 //
-// Bodies are sent in the length-prefixed binary codec by default,
-// negotiated per peer via content type: a peer that rejects the binary
-// content type (an older build answering 400 or 415) is remembered as
-// JSON-only and every later message to it is JSON, so mixed-version
-// clusters keep working. Servers answer in the request's content type;
-// error envelopes are always JSON.
+// Request and reply bodies are the length-prefixed binary codec
+// (internal/fabric/codec, Content-Type codec.ContentType) and nothing
+// else: a peer refusing a request is a reported error, never a cue to
+// resend it another way. Error envelopes are JSON, shared with /v1.
 //
 // While remote requests are in flight the coordinating process parks, so
 // the site's runtime keeps executing local transactions — exactly the
@@ -44,7 +42,6 @@ type HTTP struct {
 	node  Node
 	hc    *http.Client
 	token string
-	noBin bool
 	// ps is the current membership snapshot. Scatters load it once per
 	// round, so AddSite/MarkGone (which publish a fresh snapshot) never
 	// race the goroutines of an in-flight scatter.
@@ -56,26 +53,21 @@ type HTTP struct {
 }
 
 // peerSet is one immutable membership snapshot: peer addresses plus the
-// per-peer flags. The flag cells are pointers shared across snapshots,
-// so a peer remembered as JSON-only (or marked gone) stays that way when
-// the membership grows.
+// per-peer gone flags. The flag cells are pointers shared across
+// snapshots, so a peer marked gone stays that way when the membership
+// grows.
 type peerSet struct {
 	addrs []string
-	// jsonOnly[k] is set once peer k rejects the binary content type;
-	// later requests to it skip straight to JSON.
-	jsonOnly []*atomic.Bool
 	// gone[k] is set when site k drains; scatters skip it.
 	gone []*atomic.Bool
 }
 
 func newPeerSet(addrs []string) *peerSet {
 	ps := &peerSet{
-		addrs:    append([]string(nil), addrs...),
-		jsonOnly: make([]*atomic.Bool, len(addrs)),
-		gone:     make([]*atomic.Bool, len(addrs)),
+		addrs: append([]string(nil), addrs...),
+		gone:  make([]*atomic.Bool, len(addrs)),
 	}
 	for k := range addrs {
-		ps.jsonOnly[k] = new(atomic.Bool)
 		ps.gone[k] = new(atomic.Bool)
 	}
 	return ps
@@ -108,9 +100,8 @@ func (t *HTTP) AddSite(addr string, node Node) {
 	_ = node
 	old := t.ps.Load()
 	ps := &peerSet{
-		addrs:    append(append([]string(nil), old.addrs...), addr),
-		jsonOnly: append(append([]*atomic.Bool(nil), old.jsonOnly...), new(atomic.Bool)),
-		gone:     append(append([]*atomic.Bool(nil), old.gone...), new(atomic.Bool)),
+		addrs: append(append([]string(nil), old.addrs...), addr),
+		gone:  append(append([]*atomic.Bool(nil), old.gone...), new(atomic.Bool)),
 	}
 	t.ps.Store(ps)
 }
@@ -122,10 +113,6 @@ func (t *HTTP) MarkGone(site int) {
 		ps.gone[site].Store(true)
 	}
 }
-
-// DisableBinary forces every outgoing request to the JSON encoding (the
-// fabrictest conformance suite runs the transport both ways).
-func (t *HTTP) DisableBinary() { t.noBin = true }
 
 // PeerTokenHeader carries the cluster's shared peer secret on every
 // fabric request. The peer endpoints mutate site state, so any
@@ -401,60 +388,23 @@ func putBuf(b *bytes.Buffer) {
 	bufPool.Put(b)
 }
 
-// peerStatusError is a non-200, non-busy peer reply. post inspects the
-// status to decide whether a binary request should fall back to JSON.
-type peerStatusError struct {
-	endpoint string
-	status   int
-	body     string
-}
-
-func (e *peerStatusError) Error() string {
-	return fmt.Sprintf("peer %s: HTTP %d: %s", e.endpoint, e.status, e.body)
-}
-
-// binaryRejected reports a reply that means "this peer does not speak
-// the binary content type" — an older build's decoder choking on the
-// body (400) or an explicit unsupported-media-type refusal (415).
-func binaryRejected(err error) bool {
-	var se *peerStatusError
-	return errors.As(err, &se) &&
-		(se.status == http.StatusBadRequest || se.status == http.StatusUnsupportedMediaType)
-}
-
-// post performs one round trip to a peer endpoint: binary codec by
-// default, falling back to JSON — and remembering the peer as JSON-only
-// — when the peer rejects the binary content type.
+// post performs one round trip to a peer endpoint. A non-200 reply is
+// an error: ErrBusy or ErrSiteGone when the error envelope says so,
+// otherwise the status and body. The request is never resent.
 func (t *HTTP) post(ps *peerSet, site int, endpoint string, in, out any) error {
-	bin := !t.noBin && !ps.jsonOnly[site].Load()
-	err := t.postOnce(ps, site, endpoint, in, out, bin)
-	if bin && binaryRejected(err) {
-		ps.jsonOnly[site].Store(true)
-		return t.postOnce(ps, site, endpoint, in, out, false)
-	}
-	return err
-}
-
-func (t *HTTP) postOnce(ps *peerSet, site int, endpoint string, in, out any, bin bool) error {
 	t.Messages.Add(1)
 	body := getBuf()
 	defer putBuf(body)
-	contentType := "application/json"
-	if bin {
-		contentType = codec.ContentType
-		b, err := codec.AppendMessage(body.AvailableBuffer(), in)
-		if err != nil {
-			return err
-		}
-		body.Write(b)
-	} else if err := json.NewEncoder(body).Encode(in); err != nil {
+	b, err := codec.AppendMessage(body.AvailableBuffer(), in)
+	if err != nil {
 		return err
 	}
+	body.Write(b)
 	req, err := http.NewRequest(http.MethodPost, ps.addrs[site]+"/v1/peer/"+endpoint, bytes.NewReader(body.Bytes()))
 	if err != nil {
 		return err
 	}
-	req.Header.Set("Content-Type", contentType)
+	req.Header.Set("Content-Type", codec.ContentType)
 	if t.token != "" {
 		req.Header.Set(PeerTokenHeader, t.token)
 	}
@@ -469,10 +419,7 @@ func (t *HTTP) postOnce(ps *peerSet, site int, endpoint string, in, out any, bin
 		if _, err := reply.ReadFrom(resp.Body); err != nil {
 			return err
 		}
-		if resp.Header.Get("Content-Type") == codec.ContentType {
-			return codec.DecodeMessage(reply.Bytes(), out)
-		}
-		return json.Unmarshal(reply.Bytes(), out)
+		return codec.DecodeMessage(reply.Bytes(), out)
 	}
 	if _, err := reply.ReadFrom(io.LimitReader(resp.Body, 16<<10)); err != nil {
 		return err
@@ -486,10 +433,7 @@ func (t *HTTP) postOnce(ps *peerSet, site int, endpoint string, in, out any, bin
 			return ErrSiteGone
 		}
 	}
-	return &peerStatusError{
-		endpoint: endpoint, status: resp.StatusCode,
-		body: string(bytes.TrimSpace(reply.Bytes())),
-	}
+	return fmt.Errorf("peer %s: HTTP %d: %s", endpoint, resp.StatusCode, bytes.TrimSpace(reply.Bytes()))
 }
 
 var _ Transport = (*HTTP)(nil)
@@ -526,13 +470,13 @@ type peerHandler struct {
 	token string
 }
 
-// peerJSON writes a JSON response. The body is encoded into a pooled
-// buffer first so an encode failure can still become a 500 instead of a
-// half-written 200 with the status already on the wire.
-func peerJSON(rw http.ResponseWriter, status int, v any) {
+// peerFail writes a JSON error envelope. The body is encoded into a
+// pooled buffer first so an encode failure can still become a 500
+// instead of a half-written reply with the status already on the wire.
+func peerFail(rw http.ResponseWriter, status int, code, msg string) {
 	buf := getBuf()
 	defer putBuf(buf)
-	if err := json.NewEncoder(buf).Encode(v); err != nil {
+	if err := json.NewEncoder(buf).Encode(wire.ErrorResponse{Error: wire.Error{Code: code, Message: msg}}); err != nil {
 		http.Error(rw, `{"error":{"code":"internal","message":"response encoding failed"}}`,
 			http.StatusInternalServerError)
 		return
@@ -544,15 +488,9 @@ func peerJSON(rw http.ResponseWriter, status int, v any) {
 	_, _ = rw.Write(buf.Bytes())
 }
 
-// peerReply answers a successful handler call in the request's content
-// type: binary when the request was binary, JSON otherwise. v must be a
-// pointer to a wire message. Encode failures degrade to the JSON path,
-// which can still report them.
-func peerReply(rw http.ResponseWriter, bin bool, v any) {
-	if !bin {
-		peerJSON(rw, http.StatusOK, v)
-		return
-	}
+// peerReply answers a successful handler call in the binary codec. v
+// must be a pointer to a wire message; an encode failure becomes a 500.
+func peerReply(rw http.ResponseWriter, v any) {
 	buf := getBuf()
 	defer putBuf(buf)
 	b, err := codec.AppendMessage(buf.AvailableBuffer(), v)
@@ -566,9 +504,8 @@ func peerReply(rw http.ResponseWriter, bin bool, v any) {
 	_, _ = rw.Write(buf.Bytes())
 }
 
-// peerError answers a failed handler call. Errors are always JSON, in
-// every negotiation mode, so the busy envelope stays recognizable to
-// clients of any version.
+// peerError answers a failed handler call with its JSON error envelope,
+// the same shape /v1 uses, so a busy refusal is recognizable everywhere.
 func peerError(rw http.ResponseWriter, err error) {
 	status, code := http.StatusInternalServerError, "internal"
 	switch {
@@ -577,53 +514,43 @@ func peerError(rw http.ResponseWriter, err error) {
 	case errors.Is(err, ErrSiteGone):
 		status, code = http.StatusGone, "site_gone"
 	}
-	peerJSON(rw, status, wire.ErrorResponse{Error: wire.Error{Code: code, Message: err.Error()}})
+	peerFail(rw, status, code, err.Error())
 }
 
-// decodePeer authenticates and decodes a peer request into v, branching
-// on the content type: the binary codec when the client negotiated it,
-// JSON otherwise. The returned bin flag tells the handler which encoding
-// to answer in.
-func (h *peerHandler) decodePeer(rw http.ResponseWriter, req *http.Request, v any) (bin, ok bool) {
+// decodePeer authenticates a peer request and decodes its binary body
+// into v. A body of any other content type is refused with 415 before
+// it is read.
+func (h *peerHandler) decodePeer(rw http.ResponseWriter, req *http.Request, v any) bool {
 	if req.Method != http.MethodPost {
-		peerJSON(rw, http.StatusMethodNotAllowed, wire.ErrorResponse{Error: wire.Error{
-			Code: "method_not_allowed", Message: "POST only"}})
-		return false, false
+		peerFail(rw, http.StatusMethodNotAllowed, "method_not_allowed", "POST only")
+		return false
 	}
 	if h.token != "" &&
 		subtle.ConstantTimeCompare([]byte(req.Header.Get(PeerTokenHeader)), []byte(h.token)) != 1 {
-		peerJSON(rw, http.StatusUnauthorized, wire.ErrorResponse{Error: wire.Error{
-			Code: "unauthorized", Message: "missing or wrong peer token"}})
-		return false, false
+		peerFail(rw, http.StatusUnauthorized, "unauthorized", "missing or wrong peer token")
+		return false
 	}
-	badRequest := func(err error) {
-		peerJSON(rw, http.StatusBadRequest, wire.ErrorResponse{Error: wire.Error{
-			Code: "bad_request", Message: err.Error()}})
+	if ct := req.Header.Get("Content-Type"); ct != codec.ContentType {
+		peerFail(rw, http.StatusUnsupportedMediaType, "unsupported_media_type",
+			fmt.Sprintf("peer bodies must be %s, got %q", codec.ContentType, ct))
+		return false
 	}
-	if req.Header.Get("Content-Type") == codec.ContentType {
-		buf := getBuf()
-		defer putBuf(buf)
-		if _, err := buf.ReadFrom(req.Body); err != nil {
-			badRequest(err)
-			return false, false
-		}
-		if err := codec.DecodeMessage(buf.Bytes(), v); err != nil {
-			badRequest(err)
-			return false, false
-		}
-		return true, true
+	buf := getBuf()
+	defer putBuf(buf)
+	if _, err := buf.ReadFrom(req.Body); err != nil {
+		peerFail(rw, http.StatusBadRequest, "bad_request", err.Error())
+		return false
 	}
-	if err := json.NewDecoder(req.Body).Decode(v); err != nil {
-		badRequest(err)
-		return false, false
+	if err := codec.DecodeMessage(buf.Bytes(), v); err != nil {
+		peerFail(rw, http.StatusBadRequest, "bad_request", err.Error())
+		return false
 	}
-	return false, true
+	return true
 }
 
 func (h *peerHandler) collect(rw http.ResponseWriter, req *http.Request) {
 	var in wire.PeerCollect
-	bin, ok := h.decodePeer(rw, req, &in)
-	if !ok {
+	if !h.decodePeer(rw, req, &in) {
 		return
 	}
 	var (
@@ -635,13 +562,12 @@ func (h *peerHandler) collect(rw http.ResponseWriter, req *http.Request) {
 		peerError(rw, err)
 		return
 	}
-	peerReply(rw, bin, &wire.PeerState{Clock: rep.Clock, Values: dbToWire(rep.Values)})
+	peerReply(rw, &wire.PeerState{Clock: rep.Clock, Values: dbToWire(rep.Values)})
 }
 
 func (h *peerHandler) installState(rw http.ResponseWriter, req *http.Request) {
 	var in wire.PeerInstallState
-	bin, ok := h.decodePeer(rw, req, &in)
-	if !ok {
+	if !h.decodePeer(rw, req, &in) {
 		return
 	}
 	var err error
@@ -650,13 +576,12 @@ func (h *peerHandler) installState(rw http.ResponseWriter, req *http.Request) {
 		peerError(rw, err)
 		return
 	}
-	peerReply(rw, bin, &wire.PeerAck{Clock: in.Clock})
+	peerReply(rw, &wire.PeerAck{Clock: in.Clock})
 }
 
 func (h *peerHandler) installTreaties(rw http.ResponseWriter, req *http.Request) {
 	var in wire.PeerInstallTreaties
-	bin, ok := h.decodePeer(rw, req, &in)
-	if !ok {
+	if !h.decodePeer(rw, req, &in) {
 		return
 	}
 	m, err := InstallTreatiesFromWire(in)
@@ -669,13 +594,12 @@ func (h *peerHandler) installTreaties(rw http.ResponseWriter, req *http.Request)
 		peerError(rw, err)
 		return
 	}
-	peerReply(rw, bin, &wire.PeerAck{Clock: in.Clock})
+	peerReply(rw, &wire.PeerAck{Clock: in.Clock})
 }
 
 func (h *peerHandler) abort(rw http.ResponseWriter, req *http.Request) {
 	var in wire.PeerAbort
-	bin, ok := h.decodePeer(rw, req, &in)
-	if !ok {
+	if !h.decodePeer(rw, req, &in) {
 		return
 	}
 	var err error
@@ -687,13 +611,12 @@ func (h *peerHandler) abort(rw http.ResponseWriter, req *http.Request) {
 		peerError(rw, err)
 		return
 	}
-	peerReply(rw, bin, &wire.PeerAck{Clock: in.Clock})
+	peerReply(rw, &wire.PeerAck{Clock: in.Clock})
 }
 
 func (h *peerHandler) rejoin(rw http.ResponseWriter, req *http.Request) {
 	var in wire.PeerRejoin
-	bin, ok := h.decodePeer(rw, req, &in)
-	if !ok {
+	if !h.decodePeer(rw, req, &in) {
 		return
 	}
 	var (
@@ -706,13 +629,12 @@ func (h *peerHandler) rejoin(rw http.ResponseWriter, req *http.Request) {
 		return
 	}
 	w := RejoinReplyToWire(rep)
-	peerReply(rw, bin, &w)
+	peerReply(rw, &w)
 }
 
 func (h *peerHandler) join(rw http.ResponseWriter, req *http.Request) {
 	var in wire.PeerJoin
-	bin, ok := h.decodePeer(rw, req, &in)
-	if !ok {
+	if !h.decodePeer(rw, req, &in) {
 		return
 	}
 	var (
@@ -725,13 +647,12 @@ func (h *peerHandler) join(rw http.ResponseWriter, req *http.Request) {
 		return
 	}
 	w := JoinReplyToWire(rep)
-	peerReply(rw, bin, &w)
+	peerReply(rw, &w)
 }
 
 func (h *peerHandler) drain(rw http.ResponseWriter, req *http.Request) {
 	var in wire.PeerDrain
-	bin, ok := h.decodePeer(rw, req, &in)
-	if !ok {
+	if !h.decodePeer(rw, req, &in) {
 		return
 	}
 	var (
@@ -743,13 +664,12 @@ func (h *peerHandler) drain(rw http.ResponseWriter, req *http.Request) {
 		peerError(rw, err)
 		return
 	}
-	peerReply(rw, bin, &wire.PeerDrainReply{Clock: rep.Clock, Epoch: rep.Epoch})
+	peerReply(rw, &wire.PeerDrainReply{Clock: rep.Clock, Epoch: rep.Epoch})
 }
 
 func (h *peerHandler) migrate(rw http.ResponseWriter, req *http.Request) {
 	var in wire.PeerMigrate
-	bin, ok := h.decodePeer(rw, req, &in)
-	if !ok {
+	if !h.decodePeer(rw, req, &in) {
 		return
 	}
 	var (
@@ -761,7 +681,7 @@ func (h *peerHandler) migrate(rw http.ResponseWriter, req *http.Request) {
 		peerError(rw, err)
 		return
 	}
-	peerReply(rw, bin, &wire.PeerMigrateReply{Clock: rep.Clock, Epoch: rep.Epoch})
+	peerReply(rw, &wire.PeerMigrateReply{Clock: rep.Clock, Epoch: rep.Epoch})
 }
 
 // --- wire codecs ---------------------------------------------------------
@@ -975,11 +895,13 @@ func opFromWire(s string) (lia.RelOp, error) {
 	return 0, fmt.Errorf("fabric: unknown constraint op %q", s)
 }
 
-// localToWire encodes a local treaty. Local treaties are fully
-// instantiated (configuration values folded into constants), so every
-// variable must be a database object; anything else is a protocol error
-// caught here rather than at the receiving site.
-func localToWire(l treaty.Local) ([]wire.PeerConstraint, error) {
+// ConstraintsToWire encodes a local treaty's constraint list in the peer
+// protocol's wire form, which the WAL's treaty records persist too.
+// Local treaties are fully instantiated (configuration values folded
+// into constants), so every variable must be a database object;
+// anything else is a protocol error caught here rather than at the
+// receiving site.
+func ConstraintsToWire(l treaty.Local) ([]wire.PeerConstraint, error) {
 	out := make([]wire.PeerConstraint, 0, len(l.Constraints))
 	for _, c := range l.Constraints {
 		pc := wire.PeerConstraint{Const: c.Term.Const, Op: opToWire(c.Op)}
@@ -997,18 +919,9 @@ func localToWire(l treaty.Local) ([]wire.PeerConstraint, error) {
 	return out, nil
 }
 
-// ConstraintsToWire encodes a local treaty's constraint list in the peer
-// protocol's wire form. Exported for the WAL's treaty records, which
-// persist the same encoding.
-func ConstraintsToWire(l treaty.Local) ([]wire.PeerConstraint, error) { return localToWire(l) }
-
 // ConstraintsFromWire decodes a wire constraint list back into a local
 // treaty for the given site (the inverse of ConstraintsToWire).
 func ConstraintsFromWire(site int, cs []wire.PeerConstraint) (treaty.Local, error) {
-	return localFromWire(site, cs)
-}
-
-func localFromWire(site int, cs []wire.PeerConstraint) (treaty.Local, error) {
 	out := treaty.Local{Site: site}
 	for _, pc := range cs {
 		term := lia.NewTerm()
@@ -1031,7 +944,7 @@ func InstallTreatiesToWire(m InstallTreaties) (wire.PeerInstallTreaties, error) 
 		From: m.Round.Site, Round: m.Round.Seq, Clock: m.Clock, Site: m.Site,
 	}
 	for _, ut := range m.Units {
-		cs, err := localToWire(ut.Local)
+		cs, err := ConstraintsToWire(ut.Local)
 		if err != nil {
 			return out, fmt.Errorf("unit %d: %w", ut.Unit, err)
 		}
@@ -1048,7 +961,7 @@ func InstallTreatiesFromWire(w wire.PeerInstallTreaties) (InstallTreaties, error
 		Round: RoundID{Site: w.From, Seq: w.Round}, Clock: w.Clock, Site: w.Site,
 	}
 	for _, ut := range w.Units {
-		l, err := localFromWire(w.Site, ut.Constraints)
+		l, err := ConstraintsFromWire(w.Site, ut.Constraints)
 		if err != nil {
 			return out, fmt.Errorf("unit %d: %w", ut.Unit, err)
 		}

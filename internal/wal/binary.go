@@ -1,30 +1,50 @@
 package wal
 
 import (
+	"fmt"
 	"sync"
 
 	"repro/internal/fabric/codec"
 )
 
-// This file is the binary payload encoding for WAL records. New records
-// are written with the fabric codec (varints, length-prefixed strings,
-// sorted maps) instead of kind+JSON; the frame layer — length, CRC,
-// torn-tail repair — is untouched. Decoding sniffs the payload's first
-// byte: the codec magic means binary, anything else (a '{' in practice)
-// falls back to JSON, so logs written by older versions replay
-// unchanged and a log may mix both encodings across restarts.
+// This file is the payload encoding of WAL records: the fabric codec
+// (varints, length-prefixed strings, sorted maps) behind the codec's
+// three-byte header, whose kind byte repeats the record's kind. It is
+// the only payload encoding; a payload that does not start with the
+// codec header, or whose header names another kind, fails to decode.
+// The frame layer around it — length, CRC, torn-tail repair — lives in
+// wal.go.
 
 // payloadScratch pools the encode buffer so the append path does not
 // allocate a payload per record.
 var payloadScratch = sync.Pool{New: func() any { b := make([]byte, 0, 512); return &b }}
 
-func (l *Log) appendBinary(kind Kind, enc func([]byte) []byte) error {
+func (l *Log) appendBinary(kind Kind, enc func([]byte) ([]byte, error)) error {
 	bp := payloadScratch.Get().(*[]byte)
-	payload := enc((*bp)[:0])
-	err := l.Append(kind, payload)
+	defer payloadScratch.Put(bp)
+	payload, err := enc((*bp)[:0])
+	if err != nil {
+		return err
+	}
 	*bp = payload[:0]
-	payloadScratch.Put(bp)
-	return err
+	return l.Append(kind, payload)
+}
+
+// reader checks the record's kind and consumes the payload header,
+// returning a reader positioned at the first field.
+func (r Record) reader(want Kind) (*codec.Reader, error) {
+	if r.Kind != want {
+		return nil, fmt.Errorf("wal: %v record decoded as %v", r.Kind, want)
+	}
+	rd := codec.NewReader(r.Payload)
+	k := rd.Header()
+	if err := rd.Err(); err != nil {
+		return nil, fmt.Errorf("wal: %v record: %w", want, err)
+	}
+	if k != byte(want) {
+		return nil, fmt.Errorf("wal: %v record carries a %v payload", want, Kind(k))
+	}
+	return rd, nil
 }
 
 func appendRound(dst []byte, r *RoundID) []byte {
@@ -55,22 +75,23 @@ func appendCommitPayload(dst []byte, c *CommitRecord) []byte {
 	return codec.AppendStringMap(dst, c.Writes)
 }
 
-func decodeCommitPayload(payload []byte) (CommitRecord, error) {
-	r := codec.NewReader(payload)
-	if _ = r.Header(); r.Err() != nil {
-		return CommitRecord{}, r.Err()
+// Commit decodes a KindCommit record.
+func (r Record) Commit() (CommitRecord, error) {
+	rd, err := r.reader(KindCommit)
+	if err != nil {
+		return CommitRecord{}, err
 	}
 	c := CommitRecord{
-		Class: r.String(),
-		Args:  r.Int64s(),
-		Site:  r.Int(),
-		Units: r.Ints(),
-		Log:   r.Int64s(),
-		Clock: r.Varint(),
-		Round: decodeRound(r),
+		Class: rd.String(),
+		Args:  rd.Int64s(),
+		Site:  rd.Int(),
+		Units: rd.Ints(),
+		Log:   rd.Int64s(),
+		Clock: rd.Varint(),
+		Round: decodeRound(rd),
 	}
-	c.Writes = r.StringMap()
-	return c, r.Close()
+	c.Writes = rd.StringMap()
+	return c, rd.Close()
 }
 
 func appendInstallPayload(dst []byte, c *InstallRecord) []byte {
@@ -84,33 +105,48 @@ func appendInstallPayload(dst []byte, c *InstallRecord) []byte {
 	return codec.AppendInt(dst, c.Sites)
 }
 
-func decodeInstallPayload(payload []byte) (InstallRecord, error) {
-	r := codec.NewReader(payload)
-	if _ = r.Header(); r.Err() != nil {
-		return InstallRecord{}, r.Err()
+// Install decodes a KindInstall record.
+func (r Record) Install() (InstallRecord, error) {
+	rd, err := r.reader(KindInstall)
+	if err != nil {
+		return InstallRecord{}, err
 	}
 	c := InstallRecord{
-		Round: RoundID{Site: r.Int(), Seq: r.Uvarint()},
-		Clock: r.Varint(),
-		Objs:  r.Strings(),
-		Base:  r.StringMap(),
-		Drift: r.StringMap(),
-		Sites: r.Int(),
+		Round: RoundID{Site: rd.Int(), Seq: rd.Uvarint()},
+		Clock: rd.Varint(),
+		Objs:  rd.Strings(),
+		Base:  rd.StringMap(),
+		Drift: rd.StringMap(),
+		Sites: rd.Int(),
 	}
-	return c, r.Close()
+	return c, rd.Close()
 }
 
-func appendTreatyPayload(dst []byte, c *TreatyRecord) []byte {
+func appendTreatyPayload(dst []byte, c *TreatyRecord) ([]byte, error) {
 	dst = codec.AppendHeader(dst, byte(KindTreaty))
 	dst = codec.AppendInt(dst, c.Unit)
 	dst = codec.AppendInt(dst, c.Site)
 	dst = codec.AppendVarint(dst, c.Version)
 	dst = codec.AppendVarint(dst, c.Clock)
 	dst = appendRound(dst, c.Round)
-	// Constraints stay opaque wire-JSON bytes inside the binary record:
-	// the WAL remains below the fabric in the dependency order and the
-	// replay path keeps one constraint decoder.
-	return codec.AppendBytes(dst, c.Constraints)
+	return codec.AppendConstraints(dst, c.Constraints)
+}
+
+// Treaty decodes a KindTreaty record.
+func (r Record) Treaty() (TreatyRecord, error) {
+	rd, err := r.reader(KindTreaty)
+	if err != nil {
+		return TreatyRecord{}, err
+	}
+	c := TreatyRecord{
+		Unit:    rd.Int(),
+		Site:    rd.Int(),
+		Version: rd.Varint(),
+		Clock:   rd.Varint(),
+		Round:   decodeRound(rd),
+	}
+	c.Constraints = rd.Constraints()
+	return c, rd.Close()
 }
 
 func appendMembershipPayload(dst []byte, c *MembershipRecord) []byte {
@@ -122,33 +158,18 @@ func appendMembershipPayload(dst []byte, c *MembershipRecord) []byte {
 	return codec.AppendVarint(dst, c.Clock)
 }
 
-func decodeMembershipPayload(payload []byte) (MembershipRecord, error) {
-	r := codec.NewReader(payload)
-	if _ = r.Header(); r.Err() != nil {
-		return MembershipRecord{}, r.Err()
+// Membership decodes a KindMembership record.
+func (r Record) Membership() (MembershipRecord, error) {
+	rd, err := r.reader(KindMembership)
+	if err != nil {
+		return MembershipRecord{}, err
 	}
 	c := MembershipRecord{
-		Epoch:  r.Varint(),
-		Width:  r.Int(),
-		Status: r.Ints(),
-		Addrs:  r.Strings(),
-		Clock:  r.Varint(),
+		Epoch:  rd.Varint(),
+		Width:  rd.Int(),
+		Status: rd.Ints(),
+		Addrs:  rd.Strings(),
+		Clock:  rd.Varint(),
 	}
-	return c, r.Close()
-}
-
-func decodeTreatyPayload(payload []byte) (TreatyRecord, error) {
-	r := codec.NewReader(payload)
-	if _ = r.Header(); r.Err() != nil {
-		return TreatyRecord{}, r.Err()
-	}
-	c := TreatyRecord{
-		Unit:    r.Int(),
-		Site:    r.Int(),
-		Version: r.Varint(),
-		Clock:   r.Varint(),
-		Round:   decodeRound(r),
-	}
-	c.Constraints = r.Bytes()
-	return c, r.Close()
+	return c, rd.Close()
 }

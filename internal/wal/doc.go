@@ -1,11 +1,12 @@
 // Package wal is the per-site write-ahead log that makes a site's
-// partition survive a crash. A site appends three kinds of records as it
+// partition survive a crash. A site appends four kinds of records as it
 // runs — committed transactions with their own-delta watermarks,
-// synchronization-round state installs, and installed treaty generations
-// — and a restarted process rebuilds its store partition, treaty
-// versions, Lamport clock, and commit log by replaying them on top of
-// the deterministic boot state (same seed and class registrations yield
-// the same unit ids and boot treaties in every incarnation).
+// synchronization-round state installs, installed treaty generations,
+// and membership epochs — and a restarted process rebuilds its store
+// partition, treaty versions, Lamport clock, and commit log by replaying
+// them on top of the deterministic boot state (same seed and class
+// registrations yield the same unit ids and boot treaties in every
+// incarnation).
 //
 // # Format
 //
@@ -14,7 +15,9 @@
 //
 //	[4-byte big-endian payload length][4-byte IEEE CRC32][payload]
 //
-// where payload is one kind byte followed by the record's JSON body.
+// where payload is one kind byte followed by the record's body in the
+// fabric codec's binary encoding (internal/fabric/codec), the only
+// payload encoding the log reads or writes.
 // Replay (Scan) decodes the longest valid prefix and stops cleanly at
 // the first torn frame — a crash mid-batch loses at most the final
 // unflushed records, never the prefix.

@@ -2,7 +2,6 @@ package wal
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -10,7 +9,7 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/fabric/codec"
+	"repro/homeo/wire"
 )
 
 // Kind tags a record's payload type.
@@ -46,7 +45,8 @@ func (k Kind) String() string {
 	return fmt.Sprintf("kind(%d)", byte(k))
 }
 
-// Record is one decoded log record: a kind tag and its JSON payload.
+// Record is one decoded log record: a kind tag and its codec-encoded
+// payload (decode it with the method named after its kind).
 type Record struct {
 	Kind    Kind
 	Payload []byte
@@ -55,8 +55,8 @@ type Record struct {
 // RoundID names a synchronization round (mirrors fabric.RoundID without
 // importing it: the WAL is below the fabric in the dependency order).
 type RoundID struct {
-	Site int    `json:"site"`
-	Seq  uint64 `json:"seq"`
+	Site int
+	Seq  uint64
 }
 
 // CommitRecord is a KindCommit payload: enough to rebuild the commit-log
@@ -65,18 +65,18 @@ type RoundID struct {
 // object in the transaction's footprint — so replaying records in order
 // reproduces the partition without re-executing transaction logic.
 type CommitRecord struct {
-	Class string  `json:"class"`
-	Args  []int64 `json:"args,omitempty"`
-	Site  int     `json:"site"`
-	Units []int   `json:"units,omitempty"`
-	Log   []int64 `json:"log,omitempty"`
-	Clock int64   `json:"clock"`
+	Class string
+	Args  []int64
+	Site  int
+	Units []int
+	Log   []int64
+	Clock int64
 	// Round is set for cleanup-phase commits (the winning transaction and
 	// adopted rounds): it is the cluster-wide dedup key when per-site logs
 	// merge, because an adopted commit may be logged at several sites.
-	Round *RoundID `json:"round,omitempty"`
+	Round *RoundID
 	// Writes maps delta object names to their post-commit values.
-	Writes map[string]int64 `json:"writes,omitempty"`
+	Writes map[string]int64
 }
 
 // InstallRecord is a KindInstall payload: one synchronization round's
@@ -84,30 +84,29 @@ type CommitRecord struct {
 // folded value, zeroes every site's delta snapshot for it, then applies
 // Drift (the site's own-delta values preserved across the install).
 type InstallRecord struct {
-	Round RoundID `json:"round"`
-	Clock int64   `json:"clock"`
+	Round RoundID
+	Clock int64
 	// Objs is the round's object footprint; Base the folded values.
-	Objs []string         `json:"objs"`
-	Base map[string]int64 `json:"base"`
+	Objs []string
+	Base map[string]int64
 	// Drift maps own-delta object names to the values they keep through
 	// the install (local commits that raced the round's network gap).
-	Drift map[string]int64 `json:"drift,omitempty"`
+	Drift map[string]int64
 	// Sites is the cluster width at log time (how many delta snapshots to
 	// zero per object on replay).
-	Sites int `json:"sites"`
+	Sites int
 }
 
 // TreatyRecord is a KindTreaty payload: one installed local treaty
-// generation. Constraints is the wire-encoded constraint list
-// ([]wire.PeerConstraint JSON — the same encoding the peer protocol
-// ships), kept opaque here so the WAL stays below the fabric.
+// generation. Constraints is the constraint list in the peer protocol's
+// wire form, the same values an install-treaties message carries.
 type TreatyRecord struct {
-	Unit        int             `json:"unit"`
-	Site        int             `json:"site"`
-	Version     int64           `json:"version"`
-	Clock       int64           `json:"clock"`
-	Round       *RoundID        `json:"round,omitempty"`
-	Constraints json.RawMessage `json:"constraints,omitempty"`
+	Unit        int
+	Site        int
+	Version     int64
+	Clock       int64
+	Round       *RoundID
+	Constraints []wire.PeerConstraint
 }
 
 // MembershipRecord is a KindMembership payload: the full membership
@@ -116,69 +115,15 @@ type TreatyRecord struct {
 // leave a half-applied epoch.
 type MembershipRecord struct {
 	// Epoch is the topology epoch this table establishes.
-	Epoch int64 `json:"epoch"`
+	Epoch int64
 	// Width is the cluster width (gone sites keep their slots).
-	Width int `json:"width"`
+	Width int
 	// Status[k] is site k's membership status: 0 active, 1 gone.
-	Status []int `json:"status,omitempty"`
+	Status []int
 	// Addrs[k] is site k's peer base URL ("" in-process), so recovery can
 	// rebuild the grown transport.
-	Addrs []string `json:"addrs,omitempty"`
-	Clock int64    `json:"clock"`
-}
-
-// Commit decodes a KindCommit record (binary codec, or JSON from a log
-// written by an older version).
-func (r Record) Commit() (CommitRecord, error) {
-	var c CommitRecord
-	if r.Kind != KindCommit {
-		return c, fmt.Errorf("wal: %v record is not a commit", r.Kind)
-	}
-	if codec.IsBinary(r.Payload) {
-		return decodeCommitPayload(r.Payload)
-	}
-	err := json.Unmarshal(r.Payload, &c)
-	return c, err
-}
-
-// Install decodes a KindInstall record (binary codec or legacy JSON).
-func (r Record) Install() (InstallRecord, error) {
-	var c InstallRecord
-	if r.Kind != KindInstall {
-		return c, fmt.Errorf("wal: %v record is not an install", r.Kind)
-	}
-	if codec.IsBinary(r.Payload) {
-		return decodeInstallPayload(r.Payload)
-	}
-	err := json.Unmarshal(r.Payload, &c)
-	return c, err
-}
-
-// Treaty decodes a KindTreaty record (binary codec or legacy JSON).
-func (r Record) Treaty() (TreatyRecord, error) {
-	var c TreatyRecord
-	if r.Kind != KindTreaty {
-		return c, fmt.Errorf("wal: %v record is not a treaty", r.Kind)
-	}
-	if codec.IsBinary(r.Payload) {
-		return decodeTreatyPayload(r.Payload)
-	}
-	err := json.Unmarshal(r.Payload, &c)
-	return c, err
-}
-
-// Membership decodes a KindMembership record (binary codec or legacy
-// JSON).
-func (r Record) Membership() (MembershipRecord, error) {
-	var c MembershipRecord
-	if r.Kind != KindMembership {
-		return c, fmt.Errorf("wal: %v record is not a membership", r.Kind)
-	}
-	if codec.IsBinary(r.Payload) {
-		return decodeMembershipPayload(r.Payload)
-	}
-	err := json.Unmarshal(r.Payload, &c)
-	return c, err
+	Addrs []string
+	Clock int64
 }
 
 // Options configures a log.
@@ -328,24 +273,25 @@ func (l *Log) Append(kind Kind, payload []byte) error {
 	return nil
 }
 
-// AppendCommit appends a commit record (binary payload encoding).
+// AppendCommit appends a commit record.
 func (l *Log) AppendCommit(c CommitRecord) error {
-	return l.appendBinary(KindCommit, func(dst []byte) []byte { return appendCommitPayload(dst, &c) })
+	return l.appendBinary(KindCommit, func(dst []byte) ([]byte, error) { return appendCommitPayload(dst, &c), nil })
 }
 
 // AppendInstall appends a state-install record.
 func (l *Log) AppendInstall(c InstallRecord) error {
-	return l.appendBinary(KindInstall, func(dst []byte) []byte { return appendInstallPayload(dst, &c) })
+	return l.appendBinary(KindInstall, func(dst []byte) ([]byte, error) { return appendInstallPayload(dst, &c), nil })
 }
 
-// AppendTreaty appends a treaty-generation record.
+// AppendTreaty appends a treaty-generation record. A constraint with an
+// unknown op is refused and nothing is appended.
 func (l *Log) AppendTreaty(c TreatyRecord) error {
-	return l.appendBinary(KindTreaty, func(dst []byte) []byte { return appendTreatyPayload(dst, &c) })
+	return l.appendBinary(KindTreaty, func(dst []byte) ([]byte, error) { return appendTreatyPayload(dst, &c) })
 }
 
 // AppendMembership appends a topology-epoch record.
 func (l *Log) AppendMembership(c MembershipRecord) error {
-	return l.appendBinary(KindMembership, func(dst []byte) []byte { return appendMembershipPayload(dst, &c) })
+	return l.appendBinary(KindMembership, func(dst []byte) ([]byte, error) { return appendMembershipPayload(dst, &c), nil })
 }
 
 // Flush writes the batch to the file (and fsyncs it under Options.Sync).

@@ -3,11 +3,15 @@ package wal
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
+
+	"repro/homeo/wire"
 )
 
 func openT(t *testing.T, path string) (*Log, []Record) {
@@ -19,79 +23,146 @@ func openT(t *testing.T, path string) (*Log, []Record) {
 	return l, recs
 }
 
-// TestRoundTrip appends typed records through a close/reopen cycle and
-// checks they replay intact.
+// TestRoundTrip appends one record of each kind through a close/reopen
+// cycle and checks they replay intact.
 func TestRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "site-0.wal")
 	l, recs := openT(t, path)
 	if len(recs) != 0 {
 		t.Fatalf("fresh log replayed %d records", len(recs))
 	}
-	commit := CommitRecord{
-		Class: "Withdraw", Args: []int64{7, -3}, Site: 1, Units: []int{0, 2},
-		Log: []int64{42}, Clock: 9,
-		Round:  &RoundID{Site: 1, Seq: 4},
-		Writes: map[string]int64{"d0_x": -3, "d0_y": 12},
+	want := sampleRecords()
+	for _, rec := range want {
+		if err := appendRecord(l, rec); err != nil {
+			t.Fatal(err)
+		}
 	}
-	install := InstallRecord{
-		Round: RoundID{Site: 2, Seq: 1}, Clock: 11, Sites: 3,
-		Objs: []string{"x"}, Base: map[string]int64{"x": 100},
-		Drift: map[string]int64{"d1_x": 5},
-	}
-	tr := TreatyRecord{Unit: 3, Site: 1, Version: 2, Clock: 12, Constraints: []byte(`[{"const":-1,"op":"<="}]`)}
-	if err := l.AppendCommit(commit); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.AppendInstall(install); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.AppendTreaty(tr); err != nil {
-		t.Fatal(err)
-	}
-	if n := l.Records(); n != 3 {
-		t.Fatalf("Records() = %d, want 3", n)
+	if n := l.Records(); n != int64(len(want)) {
+		t.Fatalf("Records() = %d, want %d", n, len(want))
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
 	l2, recs := openT(t, path)
 	defer l2.Close()
-	if len(recs) != 3 {
-		t.Fatalf("replayed %d records, want 3", len(recs))
+	if len(recs) != len(want) {
+		t.Fatalf("replayed %d records, want %d", len(recs), len(want))
 	}
-	gotC, err := recs[0].Commit()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotC.Class != "Withdraw" || gotC.Clock != 9 || gotC.Round == nil || *gotC.Round != (RoundID{Site: 1, Seq: 4}) ||
-		gotC.Writes["d0_y"] != 12 {
-		t.Errorf("commit round-trip = %+v", gotC)
-	}
-	gotI, err := recs[1].Install()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotI.Round != (RoundID{Site: 2, Seq: 1}) || gotI.Base["x"] != 100 || gotI.Drift["d1_x"] != 5 || gotI.Sites != 3 {
-		t.Errorf("install round-trip = %+v", gotI)
-	}
-	gotT, err := recs[2].Treaty()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var cs []struct {
-		Const int64  `json:"const"`
-		Op    string `json:"op"`
-	}
-	if err := json.Unmarshal(gotT.Constraints, &cs); err != nil {
-		t.Fatal(err)
-	}
-	if gotT.Unit != 3 || gotT.Version != 2 || len(cs) != 1 || cs[0].Const != -1 || cs[0].Op != "<=" {
-		t.Errorf("treaty round-trip = %+v (constraints %+v)", gotT, cs)
+	for i, r := range recs {
+		got, err := decodeRecord(r)
+		if err != nil {
+			t.Fatalf("record %d: %v", i, err)
+		}
+		if !reflect.DeepEqual(got, want[i]) {
+			t.Errorf("record %d round trip:\n got %+v\nwant %+v", i, got, want[i])
+		}
 	}
 	// Kind mismatch surfaces as an error, not a zero-valued decode.
 	if _, err := recs[0].Install(); err == nil {
 		t.Error("decoding a commit as an install succeeded")
 	}
+	// So does a payload whose header names another kind.
+	if _, err := (Record{Kind: KindInstall, Payload: recs[0].Payload}).Install(); err == nil {
+		t.Error("a commit payload decoded as an install record")
+	}
+	// An unknown constraint op is refused at append time.
+	bad := TreatyRecord{Constraints: []wire.PeerConstraint{{Const: 1, Op: "!="}}}
+	if err := l2.AppendTreaty(bad); err == nil {
+		t.Error("treaty with an unknown op appended")
+	}
+	if n := l2.Records(); n != 0 {
+		t.Errorf("refused treaty still appended %d records", n)
+	}
+}
+
+// TestJSONPayloadRefused: a record whose payload is JSON — the encoding
+// older builds wrote — is a decode error for every kind, never a zero
+// value or a partial decode.
+func TestJSONPayloadRefused(t *testing.T) {
+	payload := []byte(`{"class":"Withdraw","site":1,"clock":3}`)
+	for _, k := range []Kind{KindCommit, KindInstall, KindTreaty, KindMembership} {
+		got, err := decodeRecord(Record{Kind: k, Payload: payload})
+		if err == nil {
+			t.Errorf("%v: JSON payload decoded to %+v", k, got)
+		} else if !strings.Contains(err.Error(), "magic") {
+			t.Errorf("%v: error %q does not name the bad magic byte", k, err)
+		}
+	}
+}
+
+// sampleRecords is one record of each kind, awkward corners included: a
+// nil and a set round, negative values, a treaty with several
+// constraints covering every op.
+func sampleRecords() []any {
+	return []any{
+		CommitRecord{
+			Class: "Withdraw", Args: []int64{7, -3}, Site: 1, Units: []int{0, 2},
+			Log: []int64{42}, Clock: 9,
+			Round:  &RoundID{Site: 1, Seq: 4},
+			Writes: map[string]int64{"d0_x": -3, "d0_y": 12},
+		},
+		InstallRecord{
+			Round: RoundID{Site: 2, Seq: 1}, Clock: 11, Sites: 3,
+			Objs: []string{"x"}, Base: map[string]int64{"x": 100},
+			Drift: map[string]int64{"d1_x": 5},
+		},
+		TreatyRecord{Unit: 3, Site: 1, Version: 2, Clock: 12, Round: &RoundID{Site: 0, Seq: 9},
+			Constraints: []wire.PeerConstraint{
+				{Coeffs: map[string]int64{"x": 1}, Const: -1, Op: "<="},
+				{Coeffs: map[string]int64{"x": 2, "y": -1}, Const: 0, Op: "<"},
+				{Const: 5, Op: "=="},
+			}},
+		TreatyRecord{Unit: 0, Site: 0, Version: 1, Clock: 13},
+		MembershipRecord{Epoch: 2, Width: 3, Status: []int{0, 1, 0},
+			Addrs: []string{"http://a", "", "http://c"}, Clock: 14},
+	}
+}
+
+// appendRecord appends a typed record through its Append method.
+func appendRecord(l *Log, rec any) error {
+	switch rec := rec.(type) {
+	case CommitRecord:
+		return l.AppendCommit(rec)
+	case InstallRecord:
+		return l.AppendInstall(rec)
+	case TreatyRecord:
+		return l.AppendTreaty(rec)
+	case MembershipRecord:
+		return l.AppendMembership(rec)
+	}
+	panic(fmt.Sprintf("appendRecord: %T", rec))
+}
+
+// encodeRecord returns a typed record's payload, as its Append method
+// frames it.
+func encodeRecord(rec any) (Kind, []byte, error) {
+	switch rec := rec.(type) {
+	case CommitRecord:
+		return KindCommit, appendCommitPayload(nil, &rec), nil
+	case InstallRecord:
+		return KindInstall, appendInstallPayload(nil, &rec), nil
+	case TreatyRecord:
+		b, err := appendTreatyPayload(nil, &rec)
+		return KindTreaty, b, err
+	case MembershipRecord:
+		return KindMembership, appendMembershipPayload(nil, &rec), nil
+	}
+	panic(fmt.Sprintf("encodeRecord: %T", rec))
+}
+
+// decodeRecord decodes r with the typed decoder its kind names.
+func decodeRecord(r Record) (any, error) {
+	switch r.Kind {
+	case KindCommit:
+		return r.Commit()
+	case KindInstall:
+		return r.Install()
+	case KindTreaty:
+		return r.Treaty()
+	case KindMembership:
+		return r.Membership()
+	}
+	return nil, fmt.Errorf("unknown kind %v", r.Kind)
 }
 
 // TestTornTail builds a valid log and then corrupts its tail every way a
@@ -225,7 +296,7 @@ func TestGroupCommitFlush(t *testing.T) {
 func FuzzScan(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 2, 0, 0, 0, 0, 1, 2})
-	valid := appendFrame(nil, KindCommit, []byte(`{"class":"x"}`))
+	valid := appendFrame(nil, KindCommit, appendCommitPayload(nil, &CommitRecord{Class: "x"}))
 	f.Add(valid)
 	f.Add(append(append([]byte(nil), valid...), 0xff, 0x00))
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -245,7 +316,7 @@ func FuzzScan(f *testing.F) {
 
 // FuzzRecordRoundTrip appends an arbitrary payload and replays it back.
 func FuzzRecordRoundTrip(f *testing.F) {
-	f.Add(byte(1), []byte(`{"class":"Withdraw","clock":3}`))
+	f.Add(byte(1), appendCommitPayload(nil, &CommitRecord{Class: "Withdraw", Clock: 3}))
 	f.Add(byte(3), []byte{})
 	f.Add(byte(200), []byte{0xff, 0x00, 0x7f})
 	f.Fuzz(func(t *testing.T, kind byte, payload []byte) {
@@ -266,6 +337,39 @@ func FuzzRecordRoundTrip(f *testing.F) {
 		}
 		if len(recs) != 1 || recs[0].Kind != Kind(kind) || !bytes.Equal(recs[0].Payload, payload) {
 			t.Fatalf("round trip: got %d records, first %+v", len(recs), recs)
+		}
+	})
+}
+
+// FuzzRecordDecode feeds arbitrary payloads through all four typed
+// decoders. None may panic, and every payload that decodes cleanly must
+// re-encode to a payload that decodes back to an equal value.
+func FuzzRecordDecode(f *testing.F) {
+	for _, rec := range sampleRecords() {
+		_, b, err := encodeRecord(rec)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	f.Add([]byte(`{"class":"Withdraw","clock":3}`))
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		for _, k := range []Kind{KindCommit, KindInstall, KindTreaty, KindMembership} {
+			v, err := decodeRecord(Record{Kind: k, Payload: payload})
+			if err != nil {
+				continue
+			}
+			k2, b, err := encodeRecord(v)
+			if err != nil {
+				t.Fatalf("%v: decoded value does not re-encode: %v", k, err)
+			}
+			again, err := decodeRecord(Record{Kind: k2, Payload: b})
+			if err != nil {
+				t.Fatalf("%v: re-encoded payload does not decode: %v", k, err)
+			}
+			if !reflect.DeepEqual(v, again) {
+				t.Fatalf("%v: re-encode round trip mismatch:\n got %+v\nwant %+v", k, again, v)
+			}
 		}
 	})
 }
